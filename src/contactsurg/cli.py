@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import families, invariants
 from .diagram import (
     DiagramError,
-    DiagramFormatError,
     MissingKnotError,
     diagram_to_json,
     load_diagram,
@@ -58,16 +57,9 @@ def fmt_h1(orders) -> str:
 
 
 def _load_validated(path):
-    d = load_diagram(path)
-    violations = validate(d)
-    fatal = [v for v in violations if v.fatal]
-    if fatal:
-        for v in fatal:
-            print(str(v), file=sys.stderr)
-        raise DiagramFormatError(f"{len(fatal)} validation error(s) in {path}")
-    for v in violations:
-        if not v.fatal:
-            print(str(v), file=sys.stderr)
+    d = load_diagram(path)  # raises on every fatal finding
+    for v in validate(d):
+        print(str(v), file=sys.stderr)
     return d
 
 
@@ -159,6 +151,16 @@ def _print_census(c: families.TightStructureCensus) -> None:
         print(f"{source:<12} {params:<28} {fmt_q(d3_value):>8}  {residue}")
 
 
+def _census_ok(c: families.TightStructureCensus, indent: str = "") -> bool:
+    """Run the census checks and the distinctness bounds; print failures."""
+    problems = c.problems()
+    if c.s >= 2 and not families.distinctness_bounds(c.n, c.s).all_pass():
+        problems.append("distinctness bounds failed")
+    for problem in problems:
+        print(f"{indent}{problem}", file=sys.stderr)
+    return not problems
+
+
 def cmd_census(args) -> int:
     if args.grid:
         nmax, smax = args.grid
@@ -166,27 +168,15 @@ def cmd_census(args) -> int:
         for n in range(2, nmax + 1):
             for s in range(1, smax + 1):
                 c = census(n, s)
-                problems = c.problems()
-                bounds_ok = True
-                if s >= 2:
-                    bounds_ok = families.distinctness_bounds(n, s).all_pass()
-                status = "ok" if not problems and bounds_ok else "FAIL"
+                ok = _census_ok(c, indent="  ")
                 count = len(c.standard) + len(c.exceptional)
                 print(f"n={n} s={s} {c.lens}: {count} classes "
-                      f"(expected {c.expected_count}) {status}")
-                for problem in problems:
-                    print(f"  {problem}", file=sys.stderr)
-                if problems or not bounds_ok:
-                    failed = True
+                      f"(expected {c.expected_count}) {'ok' if ok else 'FAIL'}")
+                failed = failed or not ok
         return EXIT_CENSUS if failed else EXIT_OK
     c = census(args.n, args.s)
     _print_census(c)
-    problems = c.problems()
-    if args.s >= 2 and not families.distinctness_bounds(args.n, args.s).all_pass():
-        problems.append("distinctness bounds failed")
-    if problems:
-        for problem in problems:
-            print(problem, file=sys.stderr)
+    if not _census_ok(c):
         return EXIT_CENSUS
     print(f"census ok: {c.expected_count} distinct classes")
     return EXIT_OK

@@ -72,6 +72,11 @@ class LegendrianComponent:
         """Topological surgery framing tb + coeff."""
         return self.tb + self.coeff
 
+    @property
+    def blocks_d3(self) -> bool:
+        """A (+1)-component with tb = 0, outside the d3 formula's hypotheses."""
+        return self.coeff == 1 and self.tb == 0
+
 
 @dataclass(frozen=True)
 class DistinguishedKnot:
@@ -165,10 +170,9 @@ def extended_matrix(d: SurgeryDiagram) -> IntMatrix:
 
     The distinguished knot occupies row and column 0; the remaining block
     is exactly ``linking_matrix(d)``. det(M0)/det(M) is the framing
-    correction entering the post-surgery Thurston-Bennequin invariant.
+    correction entering the post-surgery Thurston-Bennequin invariant,
+    which ``invariants.tb_surgered`` reads in its Schur complement form.
     """
-    if d.knot is None:
-        raise MissingKnotError("extended matrix needs the distinguished knot")
     lk = d.lk_vector()
     inner = linking_matrix(d)
     n = len(lk)
@@ -191,12 +195,7 @@ def promote_knot(d: SurgeryDiagram, coeff: int = -1) -> SurgeryDiagram:
     k = d.knot
     new_comp = LegendrianComponent(id=k.id, tb=k.tb0, rot=k.rot0, coeff=coeff)
     linking = dict(d.linking)
-    for c in d.components:
-        try:
-            linking[(k.id, c.id)] = k.lk[c.id]
-        except KeyError:
-            raise DiagramValidationError(
-                f"knot linking vector misses component {c.id!r}") from None
+    linking.update({(k.id, c.id): x for c, x in zip(d.components, d.lk_vector())})
     return SurgeryDiagram(components=(new_comp, *d.components),
                           linking=linking, knot=None)
 
@@ -246,7 +245,7 @@ def validate(d: SurgeryDiagram) -> list[Violation]:
             if cid not in known:
                 out.append(Violation("knot-lk", f"knot links unknown component {cid!r}"))
     for c in d.components:
-        if c.coeff == 1 and c.tb == 0:
+        if c.blocks_d3:
             out.append(Violation(
                 "d3-precondition",
                 f"+1-component {c.id!r} has tb = 0; d3 formula not applicable",
@@ -261,8 +260,9 @@ def validate(d: SurgeryDiagram) -> list[Violation]:
 #   "linking":    [ { "a", "b", "lk" }, ... ],
 #   "knot":       { "id", "tb0", "rot0", "lk": { id: int } }   (optional) }
 #
-# Unknown fields are rejected; every unordered pair of distinct components
-# must appear exactly once in "linking".
+# Unknown fields are rejected and each unordered pair may appear at most
+# once in "linking"; the structural rules (pair coverage, coefficients,
+# ids) are validate()'s, checked on the built diagram.
 # ---------------------------------------------------------------------------
 
 def _expect_keys(obj: dict, required: set[str], what: str, optional: set[str] = frozenset()):
@@ -290,24 +290,19 @@ def _expect_str(value, what: str) -> str:
 
 
 def diagram_from_json(obj: dict) -> SurgeryDiagram:
+    """Build a diagram from its JSON object; every fatal validate() finding
+    is raised as one DiagramFormatError."""
     _expect_keys(obj, {"components", "linking"}, "diagram", optional={"knot"})
     if not isinstance(obj["components"], list):
         raise DiagramFormatError('"components" must be an array')
     components = []
     for entry in obj["components"]:
         _expect_keys(entry, {"id", "tb", "rot", "coeff"}, "component")
-        coeff = _expect_int(entry["coeff"], "coeff")
-        if coeff not in (1, -1):
-            raise DiagramFormatError(f"coeff must be 1 or -1, got {coeff}")
         components.append(LegendrianComponent(
             id=_expect_str(entry["id"], "component id"),
             tb=_expect_int(entry["tb"], "tb"),
             rot=_expect_int(entry["rot"], "rot"),
-            coeff=coeff))
-    ids = [c.id for c in components]
-    if len(set(ids)) != len(ids):
-        raise DiagramFormatError("component ids must be unique")
-    known = set(ids)
+            coeff=_expect_int(entry["coeff"], "coeff")))
 
     if not isinstance(obj["linking"], list):
         raise DiagramFormatError('"linking" must be an array')
@@ -317,40 +312,30 @@ def diagram_from_json(obj: dict) -> SurgeryDiagram:
         _expect_keys(entry, {"a", "b", "lk"}, "linking entry")
         a = _expect_str(entry["a"], "linking id")
         b = _expect_str(entry["b"], "linking id")
-        if a == b:
-            raise DiagramFormatError(f"linking pair ({a!r}, {b!r}) links a component to itself")
-        if a not in known or b not in known:
-            raise DiagramFormatError(f"linking pair ({a!r}, {b!r}) names an unknown component")
         key = frozenset((a, b))
         if key in seen_pairs:
             raise DiagramFormatError(f"linking pair ({a!r}, {b!r}) appears more than once")
         seen_pairs.add(key)
         linking[(a, b)] = _expect_int(entry["lk"], "lk")
-    expected = len(ids) * (len(ids) - 1) // 2
-    if len(seen_pairs) != expected:
-        raise DiagramFormatError(
-            f"linking data covers {len(seen_pairs)} pairs, expected {expected}")
 
     knot = None
     if "knot" in obj:
         entry = obj["knot"]
         _expect_keys(entry, {"id", "tb0", "rot0", "lk"}, "knot")
-        kid = _expect_str(entry["id"], "knot id")
-        if kid in known:
-            raise DiagramFormatError(f"knot id {kid!r} collides with a component id")
         if not isinstance(entry["lk"], dict):
             raise DiagramFormatError('knot "lk" must be an object mapping ids to integers')
-        lk = {}
-        for cid, value in entry["lk"].items():
-            if cid not in known:
-                raise DiagramFormatError(f"knot links unknown component {cid!r}")
-            lk[cid] = _expect_int(value, f"knot lk[{cid!r}]")
-        missing = known - set(lk)
-        if missing:
-            raise DiagramFormatError(f"knot lk misses component(s) {sorted(missing)}")
-        knot = DistinguishedKnot(id=kid, tb0=_expect_int(entry["tb0"], "tb0"),
-                                 rot0=_expect_int(entry["rot0"], "rot0"), lk=lk)
-    return SurgeryDiagram(components=tuple(components), linking=linking, knot=knot)
+        knot = DistinguishedKnot(
+            id=_expect_str(entry["id"], "knot id"),
+            tb0=_expect_int(entry["tb0"], "tb0"),
+            rot0=_expect_int(entry["rot0"], "rot0"),
+            lk={cid: _expect_int(value, f"knot lk[{cid!r}]")
+                for cid, value in entry["lk"].items()})
+    d = SurgeryDiagram(components=tuple(components), linking=linking, knot=knot)
+    fatal = [v for v in validate(d) if v.fatal]
+    if fatal:
+        raise DiagramFormatError("\n  ".join(
+            [f"{len(fatal)} validation error(s)", *map(str, fatal)]))
+    return d
 
 
 def diagram_to_json(d: SurgeryDiagram) -> dict:
@@ -374,7 +359,9 @@ def load_diagram(path) -> SurgeryDiagram:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and integer
+            # literals past the digit limit; RecursionError covers deep nesting.
             raise DiagramFormatError(f"not valid JSON: {exc}") from exc
     return diagram_from_json(obj)
 

@@ -6,8 +6,9 @@ ratios, signatures, homology presentations) has to be computed exactly:
 one rounded entry silently corrupts a classification. Floating point is
 therefore never used here.
 
-* ``det`` runs fraction-free Bareiss elimination (all divisions exact),
-* ``solve`` runs Gaussian elimination over ``fractions.Fraction``,
+* ``det`` and ``solve`` share one fraction-free Bareiss elimination (all
+  divisions exact); ``solve`` eliminates [M | scale*b] and back-substitutes
+  det*x in integers, which Cramer's rule keeps integral,
 * ``signature`` diagonalizes a symmetric matrix by rational congruence,
   handling zero diagonal entries through hyperbolic pairs,
 * ``smith`` returns a certified Smith normal form U*M*V = D with
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -169,62 +171,68 @@ def _require_square(m: IntMatrix, what: str) -> None:
         raise DimensionError(f"{what} needs a square matrix, got {m.rows}x{m.cols}")
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _bareiss(a: list[list[int]]) -> int:
+    """Fraction-free elimination of the leading square block of a, in place.
 
-    Intermediate entries stay integral (each division is exact by the
-    Bareiss identity), which keeps coefficient growth polynomial instead
-    of the exponential blow-up of naive fraction-free expansion.
+    ``a`` holds n rows of at least n integer columns; the columns past n
+    (right-hand sides) are carried along. Returns det of the leading block,
+    0 as soon as a column has no pivot. After a nonsingular run the block
+    is upper triangular and each row is an integer multiple of one
+    equation of the row-permuted system. Intermediate entries stay
+    integral (each division is exact by Sylvester's identity), which keeps
+    coefficient growth polynomial instead of the exponential blow-up of
+    naive fraction-free expansion.
     """
-    _require_square(m, "det")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
+    n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
             if pivot_row is None:
                 return 0
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
-        pivot = a[k][k]
+        pivot, tail = a[k][k], a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+            row[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return sign * prev
+
+
+def det(m: IntMatrix) -> int:
+    """Exact determinant by fraction-free Bareiss elimination."""
+    _require_square(m, "det")
+    return _bareiss([list(row) for row in m.entries])
 
 
 def solve(m: IntMatrix, b: Sequence) -> tuple[Fraction, ...]:
     """Solve m*x = b exactly over the rationals.
 
-    Raises SingularMatrixError when det(m) = 0; the residual of the
-    returned solution is identically zero, not merely small.
+    ``b`` may hold integers or Fractions. Raises SingularMatrixError when
+    det(m) = 0; the residual of the returned solution is identically
+    zero, not merely small.
     """
     _require_square(m, "solve")
     n = m.rows
     if len(b) != n:
         raise DimensionError(f"right-hand side has length {len(b)}, expected {n}")
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])]
-         for i, row in enumerate(m.entries)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            if f:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    x: list[Fraction] = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))
-        x[r] = acc / a[r][r]
-    return tuple(x)
+    ratios = [x.as_integer_ratio() for x in b]
+    scale = lcm(*(q for _, q in ratios))
+    a = [[*row, p * (scale // q)] for row, (p, q) in zip(m.entries, ratios)]
+    det_m = _bareiss(a)
+    if det_m == 0:
+        raise SingularMatrixError("matrix is singular")
+    # By Cramer's rule det_m * x is integral, so each division is exact.
+    dx = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        acc = det_m * row[n] - sum(row[j] * dx[j] for j in range(k + 1, n))
+        dx[k] = acc // row[k]
+    return tuple(Fraction(v, det_m * scale) for v in dx)
 
 
 def signature(m: IntMatrix) -> int:

@@ -202,14 +202,13 @@ class ExceptionalExpectations:
     the Thurston-Bennequin invariant of L after the other surgeries;
     ``euler`` is the Euler residue of the tight structure obtained by
     also surgering L, expressed as a multiple of the meridian class of L
-    modulo the order of first homology, and ``rot_mod`` is the matching
-    reduction of the post-surgery rotation number of L.
+    modulo the order of first homology; the post-surgery rotation number
+    of L reduces to the same residue.
     """
 
     c2: int
     d3_sphere: Fraction
     tb: int
-    rot_mod: int
     euler: int
     chi: int
     sigma: int
@@ -227,7 +226,6 @@ def exceptional_expectations(fp: FamilyParams) -> ExceptionalExpectations:
         c2=4 * n * q * q + 4 * q * (k - l) - s + 1,
         d3_sphere=Fraction(n * q * q + q * (k - l)) - Fraction(1, 2),
         tb=-s * (s * n - 1),
-        rot_mod=euler,  # rot(L) in the surgered sphere reduces to the Euler residue
         euler=euler,
         chi=4 + s,
         sigma=1 - s,

@@ -9,8 +9,10 @@ linking matrix M and rotation vector rot:
   d3 = (c^2 - 3*sigma(X) - 2*chi(X)) / 4 + q, where X is the associated
   4-dimensional handlebody and q counts the (+1)-components,
 * ``tb_surgered`` / ``rot_surgered``: the classical invariants of the
-  distinguished knot in the surgered manifold,
-      tb = tb0 + det(M0)/det(M),   rot = rot0 - <rot, M^-1 lk>,
+  distinguished knot in the surgered manifold, both read from y = M^-1 lk,
+      tb = tb0 + det(M0)/det(M) = tb0 - <lk, y>,   rot = rot0 - <rot, y>,
+  where M0 is M bordered by lk with corner 0; the two tb forms agree by
+  the Schur complement det(M0) = -det(M) <lk, M^-1 lk>,
 * ``euler_class``: the Euler class of the induced contact structure,
   Poincare dual to the rot-weighted sum of meridian classes, reported as
   coordinates in coker(M) = H1 of the surgered boundary.
@@ -27,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import exactla
-from .diagram import MissingKnotError, SurgeryDiagram, linking_matrix, extended_matrix
+from .diagram import SurgeryDiagram, linking_matrix
 
 __all__ = [
     "InvariantError",
@@ -67,22 +69,30 @@ def q_plus(d: SurgeryDiagram) -> int:
     return sum(1 for c in d.components if c.coeff == 1)
 
 
-def _solve_rot(d: SurgeryDiagram):
-    m = linking_matrix(d)
-    rot = d.rot_vector()
+def _solve(m: exactla.IntMatrix, b) -> tuple[Fraction, ...]:
     try:
-        x = exactla.solve(m, rot)
+        return exactla.solve(m, b)
     except exactla.SingularMatrixError as exc:
         raise NonTorsionEulerClassError(
             "linking matrix is singular: Euler class is not torsion") from exc
-    return m, rot, x
+
+
+def _pairing(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _c_squared(m: exactla.IntMatrix, rot) -> Fraction:
+    # x^t M x = x^t rot because M x = rot.
+    return _pairing(_solve(m, rot), rot)
+
+
+def _d3_formula(d: SurgeryDiagram, c2: Fraction, sigma: int) -> Fraction:
+    return (c2 - 3 * sigma - 2 * chi(d)) / 4 + q_plus(d)
 
 
 def c_squared(d: SurgeryDiagram) -> Fraction:
     """x^t M x for the rational solution of M x = rot."""
-    _, rot, x = _solve_rot(d)
-    # x^t M x = x^t rot because M x = rot.
-    return sum((xi * ri for xi, ri in zip(x, rot)), Fraction(0))
+    return _c_squared(linking_matrix(d), d.rot_vector())
 
 
 def d3(d: SurgeryDiagram) -> Fraction:
@@ -93,39 +103,29 @@ def d3(d: SurgeryDiagram) -> Fraction:
     three-sphere and evaluates to -1/2.
     """
     for c in d.components:
-        if c.coeff == 1 and c.tb == 0:
+        if c.blocks_d3:
             raise D3PreconditionError(
                 f"+1-component {c.id!r} has tb = 0; d3 formula not applicable")
-    c2 = c_squared(d)
     m = linking_matrix(d)
-    sigma = exactla.signature(m)
-    return (c2 - 3 * sigma - 2 * chi(d)) / 4 + q_plus(d)
+    return _d3_formula(d, _c_squared(m, d.rot_vector()), exactla.signature(m))
+
+
+def _knot_solution(d: SurgeryDiagram):
+    """lk and y = M^-1 lk; raises MissingKnotError without a knot."""
+    lk = d.lk_vector()
+    return lk, _solve(linking_matrix(d), lk)
 
 
 def tb_surgered(d: SurgeryDiagram) -> Fraction:
     """Thurston-Bennequin invariant of the distinguished knot after surgery."""
-    if d.knot is None:
-        raise MissingKnotError("tb in the surgered manifold needs the distinguished knot")
-    m = linking_matrix(d)
-    det_m = exactla.det(m)
-    if det_m == 0:
-        raise NonTorsionEulerClassError("linking matrix is singular")
-    det_m0 = exactla.det(extended_matrix(d))
-    return d.knot.tb0 + Fraction(det_m0, det_m)
+    lk, y = _knot_solution(d)
+    return d.knot.tb0 - _pairing(lk, y)
 
 
 def rot_surgered(d: SurgeryDiagram) -> Fraction:
     """Rotation number of the distinguished knot after surgery."""
-    if d.knot is None:
-        raise MissingKnotError("rot in the surgered manifold needs the distinguished knot")
-    m = linking_matrix(d)
-    lk = d.lk_vector()
-    try:
-        y = exactla.solve(m, lk)
-    except exactla.SingularMatrixError as exc:
-        raise NonTorsionEulerClassError("linking matrix is singular") from exc
-    pairing = sum((ri * yi for ri, yi in zip(d.rot_vector(), y)), Fraction(0))
-    return d.knot.rot0 - pairing
+    _, y = _knot_solution(d)
+    return d.knot.rot0 - _pairing(d.rot_vector(), y)
 
 
 def euler_class(d: SurgeryDiagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -196,14 +196,13 @@ def report(d: SurgeryDiagram) -> InvariantReport:
     if det_m == 0:
         problems.append("non-torsion: linking matrix is singular, c2 and d3 undefined")
     else:
-        x = exactla.solve(m, d.rot_vector())
-        c2 = sum((xi * ri for xi, ri in zip(x, d.rot_vector())), Fraction(0))
-        blockers = [c.id for c in d.components if c.coeff == 1 and c.tb == 0]
+        c2 = _c_squared(m, d.rot_vector())
+        blockers = [c.id for c in d.components if c.blocks_d3]
         if blockers:
             problems.append(
                 f"d3-precondition: +1-component(s) {blockers} with tb = 0")
         else:
-            d3_value = (c2 - 3 * sigma - 2 * chi(d)) / 4 + q_plus(d)
+            d3_value = _d3_formula(d, c2, sigma)
 
     return InvariantReport(
         chi=chi(d),

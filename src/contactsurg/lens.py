@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, prod
+from math import gcd, prod
 from typing import Sequence
 
 __all__ = [
@@ -67,12 +67,13 @@ def eval_neg_contfrac(terms: Sequence[int]) -> Fraction:
     """Evaluate [a0, ..., ak] = a0 - 1/(a1 - 1/(... - 1/ak))."""
     if not terms:
         raise ValueError("cannot evaluate an empty continued fraction")
-    value = Fraction(terms[-1])
+    # value of the tail = num/den; prepending a gives a - den/num
+    num, den = terms[-1], 1
     for a in reversed(terms[:-1]):
-        if value == 0:
+        if num == 0:
             raise ZeroDivisionError("zero tail in continued fraction evaluation")
-        value = a - 1 / value
-    return value
+        num, den = a * num - den, num
+    return Fraction(num, den)
 
 
 def neg_contfrac(lens: LensSpace) -> NegContFrac:
@@ -85,7 +86,7 @@ def neg_contfrac(lens: LensSpace) -> NegContFrac:
     p, q = lens.p, lens.q
     terms: list[int] = []
     while q > 0:
-        a = ceil(Fraction(p, q))
+        a = -(-p // q)
         terms.append(a)
         p, q = q, a * q - p
     return NegContFrac(terms=tuple(terms))

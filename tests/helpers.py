@@ -1,14 +1,16 @@
 """Shared fixtures-of-convenience for the test suite: the printed matrices
-from the worked L(7,4) example, random matrix generators, and a naive
-cofactor-expansion determinant used as an independent oracle."""
+from the worked L(7,4) example, random matrix generators, and two naive
+kernels used as independent oracles: a cofactor-expansion determinant and
+Gaussian elimination over Fractions."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from contactsurg.diagram import LegendrianComponent, SurgeryDiagram
-from contactsurg.exactla import IntMatrix
+from contactsurg.exactla import IntMatrix, SingularMatrixError
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -47,6 +49,27 @@ def cofactor_det(m: IntMatrix) -> int:
             sub = m.submatrix(rest, [c for c in range(n) if c != j])
             total += (-1) ** j * m[0, j] * cofactor_det(sub)
     return total
+
+
+def fraction_solve(m: IntMatrix, b) -> tuple[Fraction, ...]:
+    """Gaussian elimination over Fractions; the solve oracle."""
+    n = m.rows
+    a = [[Fraction(x) for x in row] + [Fraction(b[i])]
+         for i, row in enumerate(m.entries)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError("matrix is singular")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            if f:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    x: list[Fraction] = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))
+        x[r] = acc / a[r][r]
+    return tuple(x)
 
 
 def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> IntMatrix:

@@ -67,6 +67,19 @@ class TestInvariantsCommand:
         assert code == 2
         assert "junk" in err
 
+    @pytest.mark.parametrize("data", [
+        b'{"components": [\xff\xfe], "linking": []}',
+        b'{"components": [{"id": "a", "tb": 7' + b"3" * 4400
+        + b', "rot": 0, "coeff": -1}], "linking": []}',
+        b'{"components": ' + b"[" * 50000 + b"]" * 50000 + b', "linking": []}',
+    ], ids=["non-utf8", "long-int", "deep-nesting"])
+    def test_hostile_file_exit_code(self, capsys, tmp_path, data):
+        path = tmp_path / "hostile.json"
+        path.write_bytes(data)
+        code, _, err = run(capsys, "invariants", path)
+        assert code == 2
+        assert err and "Traceback" not in err
+
     def test_singular_matrix_exit_code(self, capsys, tmp_path):
         path = tmp_path / "singular.json"
         path.write_text(json.dumps({

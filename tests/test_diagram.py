@@ -26,7 +26,7 @@ from helpers import FIG2_M, FIG2_M0, FIXTURES, build_diagram, one_component_diag
 
 
 @st.composite
-def diagrams(draw, max_components=5):
+def diagrams(draw, max_components=5, knot=False):
     n = draw(st.integers(0, max_components))
     comps = tuple(
         LegendrianComponent(
@@ -40,7 +40,12 @@ def diagrams(draw, max_components=5):
     for i in range(n):
         for j in range(i + 1, n):
             linking[(f"c{i}", f"c{j}")] = draw(st.integers(-2, 2))
-    return SurgeryDiagram(components=comps, linking=linking)
+    k = None
+    if knot:
+        k = DistinguishedKnot(
+            id="L", tb0=draw(st.integers(-6, -1)), rot0=draw(st.integers(-3, 3)),
+            lk={c.id: draw(st.integers(-2, 2)) for c in comps})
+    return SurgeryDiagram(components=comps, linking=linking, knot=k)
 
 
 class TestLinkingMatrix:
@@ -227,6 +232,29 @@ class TestJsonFormat:
             "linking": [],
             "knot": {"id": "L", "tb0": -1, "rot0": 0, "lk": {}}}
         with pytest.raises(DiagramFormatError):
+            diagram_from_json(obj)
+
+    @pytest.mark.parametrize("code, obj", [
+        ("component-ids", {"components": [
+            {"id": "a", "tb": -1, "rot": 0, "coeff": -1},
+            {"id": "a", "tb": -2, "rot": 0, "coeff": -1}], "linking": []}),
+        ("contact-coeff", {"components": [
+            {"id": "a", "tb": -1, "rot": 0, "coeff": 2}], "linking": []}),
+        ("linking-ids", {"components": [
+            {"id": "a", "tb": -1, "rot": 0, "coeff": -1}],
+            "linking": [{"a": "a", "b": "z", "lk": 1}]}),
+        ("linking-missing", {"components": [
+            {"id": "a", "tb": -1, "rot": 0, "coeff": -1},
+            {"id": "b", "tb": -1, "rot": 0, "coeff": -1}], "linking": []}),
+        ("knot-id", {"components": [
+            {"id": "a", "tb": -1, "rot": 0, "coeff": -1}], "linking": [],
+            "knot": {"id": "a", "tb0": -1, "rot0": 0, "lk": {"a": 0}}}),
+        ("knot-lk", {"components": [
+            {"id": "a", "tb": -1, "rot": 0, "coeff": -1}], "linking": [],
+            "knot": {"id": "L", "tb0": -1, "rot0": 0, "lk": {"a": 0, "z": 1}}}),
+    ])
+    def test_fatal_validation_is_a_format_error(self, code, obj):
+        with pytest.raises(DiagramFormatError, match=code):
             diagram_from_json(obj)
 
     def test_not_json(self, tmp_path):

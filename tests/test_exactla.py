@@ -21,6 +21,7 @@ from helpers import (
     FIG2_M,
     FIG2_M0,
     cofactor_det,
+    fraction_solve,
     random_matrix,
     random_symmetric,
     random_unimodular,
@@ -147,6 +148,37 @@ class TestSolve:
             x = solve(m, b)
             assert list(m.apply(x)) == b
             done += 1
+
+    def test_matches_fraction_oracle(self):
+        """Zero leading pivots, singular matrices and Fraction right-hand
+        sides, each drawn on purpose, against Gaussian elimination over Q."""
+        rng = random.Random(11)
+        seen = {"zero-pivot": 0, "singular": 0, "fraction-rhs": 0}
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            rows = [list(r) for r in random_matrix(rng, n).entries]
+            if rng.random() < 0.3:
+                rows[0][0] = 0
+                seen["zero-pivot"] += 1
+            if n > 1 and rng.random() < 0.2:
+                i, j = rng.sample(range(n), 2)
+                c = rng.randint(-2, 2)
+                rows[i] = [c * y for y in rows[j]]
+            if rng.random() < 0.5:
+                b = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+                seen["fraction-rhs"] += 1
+            else:
+                b = [rng.randint(-9, 9) for _ in range(n)]
+            m = IntMatrix(rows)
+            try:
+                want = fraction_solve(m, b)
+            except SingularMatrixError:
+                seen["singular"] += 1
+                with pytest.raises(SingularMatrixError):
+                    solve(m, b)
+                continue
+            assert solve(m, b) == want
+        assert all(count >= 50 for count in seen.values()), seen
 
 
 class TestSignature:

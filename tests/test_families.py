@@ -139,7 +139,7 @@ class TestExpectations:
                     assert c_squared(d) == e.c2
                     assert d3(d) == e.d3_sphere
                     assert tb_surgered(d) == e.tb
-                    assert rot_surgered(d) % fp.lens_order == e.rot_mod
+                    assert rot_surgered(d) % fp.lens_order == e.euler
                     assert tuple(solve(m, d.rot_vector())) == tuple(
                         Fraction(x) for x in exceptional_x_vector(fp))
 

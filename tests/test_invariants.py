@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from contactsurg.diagram import (
@@ -9,6 +9,7 @@ from contactsurg.diagram import (
     LegendrianComponent,
     MissingKnotError,
     SurgeryDiagram,
+    extended_matrix,
     linking_matrix,
     promote_knot,
 )
@@ -126,6 +127,13 @@ class TestKnotInvariants:
                            knot=DistinguishedKnot(id="L", tb0=-1, rot0=2,
                                                   lk={"a": 1, "b": -1}))
         assert rot_surgered(d) == 2
+
+    @given(diagrams(knot=True))
+    @settings(max_examples=80)
+    def test_tb_matches_det_ratio(self, d):
+        det_m = det(linking_matrix(d))
+        assume(det_m != 0)
+        assert tb_surgered(d) == d.knot.tb0 + Fraction(det(extended_matrix(d)), det_m)
 
     def test_missing_knot(self, trefoil_pos):
         with pytest.raises(MissingKnotError):
