@@ -12,7 +12,6 @@ from .exactla import (
     DimensionError,
     ExactLAError,
     IntMatrix,
-    Rational,
     SingularMatrixError,
     SmithDecomposition,
     cokernel_coordinates,

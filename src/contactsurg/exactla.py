@@ -9,16 +9,13 @@ therefore never used here.
 * ``det`` and ``solve`` share one fraction-free Bareiss elimination (all
   divisions exact); ``solve`` eliminates [M | scale*b] and back-substitutes
   det*x in integers, which Cramer's rule keeps integral,
-* ``signature`` diagonalizes a symmetric matrix by rational congruence,
-  handling zero diagonal entries through hyperbolic pairs,
+* ``signature`` runs one fraction-free symmetric elimination and reads
+  the signature off the signs of successive pivots (Jacobi's rule),
 * ``smith`` returns a certified Smith normal form U*M*V = D with
   unimodular U, V; the certificate is re-checked before returning,
 * ``cokernel_coordinates`` reduces an integer vector into the cokernel
   Z^n / M Z^n, the usual presentation of first homology by a relation
   matrix.
-
-``Rational`` is an alias for ``fractions.Fraction``: exact, always in
-lowest terms, denominator positive.
 """
 
 from __future__ import annotations
@@ -28,10 +25,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "ExactLAError",
     "DimensionError",
     "SingularMatrixError",
@@ -126,9 +120,6 @@ class IntMatrix:
         return all(a[i][j] == a[j][i]
                    for i in range(self.rows) for j in range(i + 1, self.cols))
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
         return IntMatrix([[self._entries[i][j] for j in col_idx] for i in row_idx])
 
@@ -198,7 +189,6 @@ def _bareiss(a: list[list[int]]) -> int:
             row = a[i]
             f = row[k]
             row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-            row[k] = 0
         prev = pivot
     return sign * prev
 
@@ -238,42 +228,47 @@ def solve(m: IntMatrix, b: Sequence) -> tuple[Fraction, ...]:
 def signature(m: IntMatrix) -> int:
     """Signature (positives minus negatives) of a symmetric matrix.
 
-    Computed exactly by congruence diagonalization over the rationals.
-    A zero diagonal entry is repaired either by swapping in a nonzero
-    diagonal from below or, when the whole trailing diagonal vanishes,
-    by folding a hyperbolic pair (which contributes +1 and -1) into the
-    pivot via the congruence row_i += row_j, col_i += col_j.
+    One fraction-free symmetric Bareiss elimination on the integers. The
+    pivot p at step k is the leading (k+1)-minor of a congruent matrix and
+    prev the leading k-minor, so by Jacobi's rule the step adds +1 to the
+    signature when p and prev have the same sign and -1 otherwise. A zero
+    pivot is repaired by a symmetric swap with a nonzero trailing diagonal
+    entry or, when the whole trailing diagonal vanishes, by the fold
+    row_k += row_j, col_k += col_j (new pivot 2*a[k][j]); a trailing row
+    of zeros is a null direction and leaves the active block. These are
+    congruences on trailing indices, which commute with the bordered
+    minors, so every division stays exact.
     """
     _require_square(m, "signature")
     if not m.is_symmetric():
         raise DimensionError("signature needs a symmetric matrix")
-    n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.entries]
-    sig = 0
-    for i in range(n):
-        if a[i][i] == 0:
-            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+    a = [list(row) for row in m.entries]
+    size = len(a)
+    sig, prev, k = 0, 1, 0
+    while k < size:
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, size) if a[j][j]), None)
             if j is not None:
-                a[i], a[j] = a[j], a[i]
-                for row in a:
-                    row[i], row[j] = row[j], row[i]
+                _swap_rows(a, k, j)
+                _swap_cols(a, k, j)
             else:
-                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                if j is None:
-                    continue  # null direction: contributes nothing
-                for t in range(n):
-                    a[i][t] += a[j][t]
-                for t in range(n):
-                    a[t][i] += a[t][j]
-        d = a[i][i]
-        sig += 1 if d > 0 else -1
-        for r in range(i + 1, n):
-            f = a[r][i] / d
-            if f:
-                for t in range(n):
-                    a[r][t] -= f * a[i][t]
-                for t in range(n):
-                    a[t][r] -= f * a[t][i]
+                j = next((j for j in range(k + 1, size) if a[k][j]), None)
+                if j is None:  # null direction: contributes nothing
+                    size -= 1
+                    _swap_rows(a, k, size)
+                    _swap_cols(a, k, size)
+                    continue
+                _add_row(a, k, j, 1)
+                _add_col(a, k, j, 1)
+        pivot, tail = a[k][k], a[k][k + 1:size]
+        sig += 1 if (pivot > 0) == (prev > 0) else -1
+        for i in range(k + 1, size):
+            row = a[i]
+            f = row[k]
+            row[k + 1:size] = [(x * pivot - f * y) // prev
+                               for x, y in zip(row[k + 1:size], tail)]
+        prev = pivot
+        k += 1
     return sig
 
 

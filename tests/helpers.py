@@ -1,7 +1,8 @@
 """Shared fixtures-of-convenience for the test suite: the printed matrices
-from the worked L(7,4) example, random matrix generators, and two naive
-kernels used as independent oracles: a cofactor-expansion determinant and
-Gaussian elimination over Fractions."""
+from the worked L(7,4) example, random matrix generators, and naive
+kernels used as independent oracles: a cofactor-expansion determinant,
+Gaussian elimination and congruence diagonalization over Fractions, and
+the characteristic polynomial (signature and det with no pivoting)."""
 
 from __future__ import annotations
 
@@ -70,6 +71,82 @@ def fraction_solve(m: IntMatrix, b) -> tuple[Fraction, ...]:
         acc = a[r][n] - sum((a[r][c] * x[c] for c in range(r + 1, n)), Fraction(0))
         x[r] = acc / a[r][r]
     return tuple(x)
+
+
+def fraction_signature(m: IntMatrix) -> int:
+    """Congruence diagonalization over Fractions; the signature oracle.
+
+    A zero diagonal entry is repaired either by swapping in a nonzero
+    diagonal from below or, when the whole trailing diagonal vanishes,
+    by folding a hyperbolic pair into the pivot via the congruence
+    row_i += row_j, col_i += col_j.
+    """
+    n = m.rows
+    a = [[Fraction(x) for x in row] for row in m.entries]
+    sig = 0
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                a[i], a[j] = a[j], a[i]
+                for row in a:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+                if j is None:
+                    continue  # null direction: contributes nothing
+                for t in range(n):
+                    a[i][t] += a[j][t]
+                for t in range(n):
+                    a[t][i] += a[t][j]
+        d = a[i][i]
+        sig += 1 if d > 0 else -1
+        for r in range(i + 1, n):
+            f = a[r][i] / d
+            if f:
+                for t in range(n):
+                    a[r][t] -= f * a[i][t]
+                for t in range(n):
+                    a[t][r] -= f * a[t][i]
+    return sig
+
+
+def charpoly(m: IntMatrix) -> list[int]:
+    """Coefficients c_0..c_n of det(x*I - m) by Faddeev-LeVerrier.
+
+    Over the integers every division by k is exact (c_{n-k} is an
+    elementary symmetric function of the eigenvalues up to sign).
+    """
+    n = m.rows
+    a = [list(row) for row in m.entries]
+    c = [0] * n + [1]
+    mk = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A*M_{k-1} + c_{n-k+1}*I, then c_{n-k} = -tr(A*M_k)/k.
+        mk = [[sum(a[i][t] * mk[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        trace = sum(a[i][t] * mk[t][i] for i in range(n) for t in range(n))
+        c[n - k], rem = divmod(-trace, k)
+        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+    return c
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [x > 0 for x in coeffs if x]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def charpoly_signature_det(m: IntMatrix) -> tuple[int, int]:
+    """(signature, det) from the characteristic polynomial, with no pivots.
+
+    A real symmetric matrix has only real eigenvalues, so Descartes' rule
+    of signs counts them exactly: positives are the sign changes of
+    chi(x), negatives those of chi(-x). det is (-1)^n * chi(0).
+    """
+    c = charpoly(m)
+    positives = _sign_changes(c)
+    negatives = _sign_changes([x if i % 2 == 0 else -x for i, x in enumerate(c)])
+    return positives - negatives, (-1) ** m.rows * c[0]
 
 
 def random_matrix(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> IntMatrix:

@@ -114,6 +114,16 @@ class TestKnotCommand:
         assert code == 4
         assert err
 
+    def test_singular_matrix_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({
+            "components": [{"id": "a", "tb": -1, "rot": 1, "coeff": 1}],
+            "linking": [],
+            "knot": {"id": "L", "tb0": -5, "rot0": 2, "lk": {"a": 1}}}))
+        code, _, err = run(capsys, "knot", path)
+        assert code == 3
+        assert "singular" in err
+
     def test_unlinked_knot(self, capsys, tmp_path):
         path = tmp_path / "unlinked.json"
         path.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from contactsurg.exactla import (
     ExactLAError,
     IntMatrix,
     SingularMatrixError,
+    SmithDecomposition,
     cokernel_coordinates,
     det,
     signature,
@@ -20,7 +22,9 @@ from contactsurg.exactla import (
 from helpers import (
     FIG2_M,
     FIG2_M0,
+    charpoly_signature_det,
     cofactor_det,
+    fraction_signature,
     fraction_solve,
     random_matrix,
     random_symmetric,
@@ -31,6 +35,16 @@ small_squares = st.integers(0, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n),
         min_size=n, max_size=n))
+
+
+def symmetric_matrices(n: int, lo: int, hi: int):
+    """Every symmetric n x n matrix with entries in [lo, hi]."""
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    for values in itertools.product(range(lo, hi + 1), repeat=len(upper)):
+        a = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(upper, values):
+            a[i][j] = a[j][i] = x
+        yield IntMatrix(a)
 
 
 def section4_full_matrix(m: int) -> IntMatrix:
@@ -237,6 +251,62 @@ class TestSignature:
             if det(m) != 0:
                 assert (sig - n) % 2 == 0
 
+    def test_matches_fraction_oracle(self):
+        """All-zero diagonals (which force a fold), sparse and singular
+        matrices, each drawn on purpose, against congruence over Q."""
+        rng = random.Random(23)
+        seen = {"zero-diagonal": 0, "singular": 0}
+        for _ in range(3000):
+            n = rng.randint(1, 9)
+            rows = [list(r) for r in random_symmetric(rng, n).entries]
+            if rng.random() < 0.35:
+                for i in range(n):
+                    rows[i][i] = 0
+                seen["zero-diagonal"] += 1
+            if rng.random() < 0.3:
+                # Sparse: later trailing blocks fold again or go null.
+                for i, j in itertools.combinations(range(n), 2):
+                    if rng.random() < 0.6:
+                        rows[i][j] = rows[j][i] = 0
+            if n > 1 and rng.random() < 0.2:
+                # Equal rows i and j: e_i - e_j spans part of the kernel.
+                i, j = rng.sample(range(n), 2)
+                rows[i] = list(rows[j])
+                for row in rows:
+                    row[i] = row[j]
+            m = IntMatrix(rows)
+            if det(m) == 0:
+                seen["singular"] += 1
+            assert signature(m) == fraction_signature(m), rows
+        assert all(count >= 50 for count in seen.values()), seen
+
+    @pytest.mark.parametrize("n,lo,hi", [(1, -3, 3), (2, -3, 3), (3, -2, 2)])
+    def test_matches_charpoly_exhaustive(self, n, lo, hi):
+        """Every small symmetric matrix against Descartes' rule on the
+        characteristic polynomial, which shares no pivot strategy."""
+        for m in symmetric_matrices(n, lo, hi):
+            assert (signature(m), det(m)) == charpoly_signature_det(m), m
+
+    @pytest.mark.slow
+    def test_matches_charpoly_exhaustive_n4(self):
+        for m in symmetric_matrices(4, -1, 1):
+            assert (signature(m), det(m)) == charpoly_signature_det(m), m
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("size", [10, 28, 44])
+    def test_matches_charpoly_ladder_sizes(self, size):
+        from contactsurg.diagram import linking_matrix
+        from contactsurg.families import exceptional_diagram, family_params_grid
+        fp = next(iter(family_params_grid(2, size - 3)))
+        family = linking_matrix(exceptional_diagram(fp))
+        assert family.rows == size and signature(family) == 4 - size
+        rng = random.Random(size)
+        hollow = [list(r) for r in random_symmetric(rng, size).entries]
+        for i in range(size):
+            hollow[i][i] = 0
+        for m in (family, random_symmetric(rng, size), IntMatrix(hollow)):
+            assert (signature(m), det(m)) == charpoly_signature_det(m)
+
 
 class TestSmith:
     def test_rank_one(self):
@@ -282,6 +352,27 @@ class TestSmith:
             for x in smith(m).diagonal():
                 prod *= x
             assert prod == abs(d)
+
+    @pytest.mark.parametrize("m,d,u,v", [
+        # u*m*v != d
+        ([[-7]], [[6]], [[1]], [[1]]),
+        # u is not unimodular
+        ([[0]], [[0]], [[2]], [[1]]),
+        # negative diagonal entry
+        ([[-7]], [[-7]], [[1]], [[1]]),
+        # a zero followed by a nonzero
+        ([[0, 0], [0, 3]], [[0, 0], [0, 3]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        # broken divisibility chain 2 | 3
+        ([[2, 0], [0, 3]], [[2, 0], [0, 3]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+        # nonzero entry off the diagonal
+        ([[1, 1], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    ], ids=["wrong-d", "non-unimodular", "negative", "zero-then-nonzero",
+            "divisibility", "off-diagonal"])
+    def test_verify_rejects_planted_certificate(self, m, d, u, v):
+        m = IntMatrix(m)
+        assert smith(m).verify(m)
+        bad = SmithDecomposition(d=IntMatrix(d), u=IntMatrix(u), v=IntMatrix(v))
+        assert not bad.verify(m)
 
 
 class TestCokernel:
